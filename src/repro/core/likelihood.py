@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.conflicts import ConflictTracker
 from repro.mdcc.coordinator import ProgressSnapshot, RecordProgress
@@ -144,6 +144,32 @@ def _lognormal_cdf_ln(x: float, ln_median: float, sigma: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
+#: A response whose round-trip CDF has reached this value is overdue
+#: beyond the distribution's support.
+_OVERDUE_CDF = 1.0 - 1e-12
+
+
+def _first_reaching(cdf: Callable[[float], float], target: float, start: float) -> float:
+    """The smallest positive float ``x`` with ``cdf(x) >= target``.
+
+    Bisection over the float function itself, not over its mathematical
+    ideal: for a non-decreasing ``cdf`` every ``x`` below the result
+    evaluates below ``target`` and every ``x`` at or above it evaluates at
+    or above, bit for bit.  ``cdf(0)`` must be below ``target``.
+    """
+    lo, hi = 0.0, start
+    while cdf(hi) < target:
+        lo, hi = hi, hi * 2.0
+    while True:
+        mid = lo + (hi - lo) * 0.5
+        if mid <= lo or mid >= hi:
+            return hi
+        if cdf(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+
+
 class CommitLikelihoodModel:
     """Evaluates commit likelihood for in-flight transactions.
 
@@ -163,9 +189,10 @@ class CommitLikelihoodModel:
         self.latency = latency
         self.coordinator_dc = coordinator_dc
         self.config = config if config is not None else LikelihoodConfig()
-        # (median, log(median)) of the modelled RTT per replica-DC index.
-        # Topology, coordinator placement, and the response overhead are all
-        # fixed for the model's lifetime, so these never invalidate.
+        # (median, log(median), overdue_at, certain_at) of the modelled RTT
+        # per replica-DC index (see ``_rtt_params``).  Topology, coordinator
+        # placement, jitter and the response overhead are all fixed for the
+        # model's lifetime, so these never invalidate.
         self._rtt_params_by_dc: dict = {}
 
     # ------------------------------------------------------------------
@@ -178,12 +205,32 @@ class CommitLikelihoodModel:
         return self._rtt_params(replica_dc)[0]
 
     def _rtt_params(self, replica_dc: Datacenter) -> tuple:
-        """Cached ``(median, log(median))`` of the modelled round trip."""
+        """Cached ``(median, log(median), overdue_at, certain_at)`` of the
+        modelled round trip.
+
+        ``overdue_at`` and ``certain_at`` are the smallest times at which
+        the round-trip CDF, evaluated exactly as
+        :meth:`_in_time_probability` evaluates it, reaches ``1 - 1e-12``
+        and ``1.0`` (see docs/likelihood.md, "Exactness of the fast path").
+        """
         params = self._rtt_params_by_dc.get(replica_dc.index)
         if params is None:
             one_way = self.latency.topology.one_way_ms(self.coordinator_dc, replica_dc)
             median = 2.0 * one_way + self.config.response_overhead_ms
-            params = self._rtt_params_by_dc[replica_dc.index] = (median, math.log(median))
+            ln_median = math.log(median)
+            sigma = self.latency.jitter_sigma / _SQRT2
+            if sigma > 0:
+                def cdf(x: float) -> float:
+                    return _lognormal_cdf_ln(x, ln_median, sigma)
+            else:
+                def cdf(x: float) -> float:
+                    return _lognormal_cdf(x, median, sigma)
+            params = self._rtt_params_by_dc[replica_dc.index] = (
+                median,
+                ln_median,
+                _first_reaching(cdf, _OVERDUE_CDF, median),
+                _first_reaching(cdf, 1.0, median),
+            )
         return params
 
     def _in_time_probability(
@@ -194,21 +241,23 @@ class CommitLikelihoodModel:
             return 1.0
         if remaining_ms <= 0:
             return 0.0
-        median, ln_median = self._rtt_params(replica_dc)
+        median, ln_median, overdue_at, certain_at = self._rtt_params(replica_dc)
+        if elapsed_ms >= overdue_at:
+            # The response is overdue far beyond the distribution's support;
+            # treat it as lost-or-slow with a pessimistic constant.
+            return 0.0
+        if elapsed_ms + remaining_ms >= certain_at:
+            # The CDF at the deadline is exactly 1.0, so the ratio below
+            # would be (1.0 - a) / (1.0 - a) with 1.0 - a > 0: exactly 1.0.
+            return 1.0
         # A round trip is two lognormal legs; approximate the sum as a
         # lognormal with sigma scaled by 1/sqrt(2) (variance addition).
         sigma = self.latency.jitter_sigma / _SQRT2
         if sigma > 0:
             already = _lognormal_cdf_ln(elapsed_ms, ln_median, sigma)
-        else:
-            already = _lognormal_cdf(elapsed_ms, median, sigma)
-        if already >= 1.0 - 1e-12:
-            # The response is overdue far beyond the distribution's support;
-            # treat it as lost-or-slow with a pessimistic constant.
-            return 0.0
-        if sigma > 0:
             by_deadline = _lognormal_cdf_ln(elapsed_ms + remaining_ms, ln_median, sigma)
         else:
+            already = _lognormal_cdf(elapsed_ms, median, sigma)
             by_deadline = _lognormal_cdf(elapsed_ms + remaining_ms, median, sigma)
         return max(0.0, min(1.0, (by_deadline - already) / (1.0 - already)))
 
@@ -217,28 +266,50 @@ class CommitLikelihoodModel:
         self, record: RecordProgress, now: float, deadline_at: Optional[float]
     ) -> float:
         """Probability that one record's option still gets chosen in time."""
+        return self._record_likelihood(record, now, deadline_at, {})
+
+    def _record_likelihood(
+        self,
+        record: RecordProgress,
+        now: float,
+        deadline_at: Optional[float],
+        in_time_memo: dict,
+    ) -> float:
+        """:meth:`record_likelihood`, sharing in-time terms through
+        ``in_time_memo`` with the other records of one evaluation."""
         needed = record.quorum - record.accepts
         if needed <= 0:
             return 1.0
         if record.rejects > record.n - record.quorum:
             return 0.0
-        if needed > len(record.outstanding_dcs):
+        outstanding = record.outstanding_dcs
+        if needed > len(outstanding):
             return 0.0
-        elapsed = max(0.0, now - record.proposed_at)
-        remaining = None if deadline_at is None else deadline_at - now
-        if not self.config.use_deadline or remaining is None:
+        config = self.config
+        if not config.use_deadline or deadline_at is None:
             # Ingredient 3 disabled (or no deadline): every outstanding
             # response counts in full, exactly as the per-DC calls return.
-            in_time = [1.0] * len(record.outstanding_dcs)
+            in_time = [1.0] * len(outstanding)
         else:
-            in_time = [
-                self._in_time_probability(dc, elapsed, remaining)
-                for dc in record.outstanding_dcs
-            ]
+            elapsed = max(0.0, now - record.proposed_at)
+            remaining = deadline_at - now
+            # ``remaining`` is the same for every record of one evaluation,
+            # so the DC and ``elapsed`` identify the term.
+            terms = in_time_memo.get(elapsed)
+            if terms is None:
+                terms = in_time_memo[elapsed] = {}
+            in_time = []
+            for dc in outstanding:
+                term = terms.get(dc.index)
+                if term is None:
+                    term = terms[dc.index] = self._in_time_probability(
+                        dc, elapsed, remaining
+                    )
+                in_time.append(term)
         conflict_p = 1.0 - self._accept_probability(record.key)
 
-        if self.config.correlated_conflicts:
-            leak = self.config.conflict_accept_leak
+        if config.correlated_conflicts:
+            leak = config.conflict_accept_leak
             win_clean = poisson_binomial_tail(in_time, needed)
             win_conflicted = poisson_binomial_tail([leak * t for t in in_time], needed)
             if record.rejects == 0:
@@ -262,8 +333,10 @@ class CommitLikelihoodModel:
     def likelihood(self, snapshot: ProgressSnapshot, now: float) -> float:
         """Commit likelihood of the whole transaction right now."""
         p = 1.0
+        deadline_at = snapshot.deadline_at
+        in_time_memo: dict = {}
         for record in snapshot.records:
-            p *= self.record_likelihood(record, now, snapshot.deadline_at)
+            p *= self._record_likelihood(record, now, deadline_at, in_time_memo)
             if p == 0.0:
                 break
         return p

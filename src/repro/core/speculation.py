@@ -26,7 +26,8 @@ class SpeculationManager(TxEvents):
         # Per-key (accepts, rejects) counts observed through on_vote, kept so
         # conflict statistics survive the coordinator forgetting the tx.
         self.vote_counts: Dict[str, List[int]] = {}
-        # Vote-state history per key, consumed by the empirical model.
+        # Vote-state history per key, consumed by the empirical model and
+        # recorded only when the session has one.
         self.state_history: Dict[str, List[Tuple[int, int]]] = {}
         self._stage_span = None  # open obs span for the current stage
 
@@ -70,8 +71,8 @@ class SpeculationManager(TxEvents):
 
     def on_vote(self, request: TxRequest, key: str, accepted: bool, now: float) -> None:
         counts = self.vote_counts.setdefault(key, [0, 0])
-        history = self.state_history.setdefault(key, [])
-        history.append((counts[0], counts[1]))
+        if self.session.empirical_model is not None:
+            self.state_history.setdefault(key, []).append((counts[0], counts[1]))
         counts[0 if accepted else 1] += 1
 
         likelihood = self.session.evaluate_likelihood(self.tx, now)

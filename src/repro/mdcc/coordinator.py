@@ -61,7 +61,11 @@ class MdccConfig:
 
 @dataclass
 class RecordProgress:
-    """Vote state of one record's option, as exposed to the predictor."""
+    """Vote state of one record's option, as exposed to the predictor.
+
+    The coordinator shares one instance among every snapshot taken until
+    the record's next vote, so treat it as read-only.
+    """
 
     key: str
     accepts: int
@@ -86,9 +90,9 @@ class _InflightTx:
     """Coordinator-side state for one running transaction."""
 
     __slots__ = (
-        "request", "events", "options", "trackers", "proposed_at",
-        "decided", "timeout_event", "prepare_votes", "phase", "ballot",
-        "round_span",
+        "request", "events", "options", "trackers", "proposed_at", "records",
+        "deadline_at", "decided", "timeout_event", "prepare_votes", "phase",
+        "ballot", "round_span",
     )
 
     def __init__(self, request: TxRequest, events: TxEvents) -> None:
@@ -97,6 +101,11 @@ class _InflightTx:
         self.options: Dict[str, Option] = {}
         self.trackers: Dict[str, QuorumTracker] = {}
         self.proposed_at: Dict[str, float] = {}
+        # The predictor's view of each record, in write order.  A record's
+        # entry is replaced, never mutated, when it gets a vote, so the
+        # snapshots ``progress`` already handed out stay valid.
+        self.records: Dict[str, RecordProgress] = {}
+        self.deadline_at: Optional[float] = None
         self.prepare_votes: Dict[str, Set[str]] = {}
         self.decided = False
         self.timeout_event = None
@@ -120,6 +129,12 @@ class MdccCoordinator(NetworkNode):
         self.config = config if config is not None else MdccConfig()
         self.replica_ids = list(replica_ids)
         self.local_replica_id = self._pick_local_replica(network)
+        # (replica_id, Datacenter) in replica-id order: the order in which a
+        # record lists its outstanding replicas' DCs.
+        self._sorted_replicas: Tuple[Tuple[str, Datacenter], ...] = tuple(
+            (replica_id, network.node(replica_id).datacenter)
+            for replica_id in sorted(set(self.replica_ids))
+        )
         self.ballots = BallotGenerator(
             node_id, tracer=sim.tracer, clock=self._clock, metrics=sim.metrics
         )
@@ -151,6 +166,7 @@ class MdccCoordinator(NetworkNode):
         tx = _InflightTx(request, events)
         self._inflight[request.txid] = tx
         if request.deadline_ms is not None:
+            tx.deadline_at = request.submitted_at + request.deadline_ms
             tx.timeout_event = self.sim.schedule(
                 request.deadline_ms, self._on_timeout, request.txid
             )
@@ -186,33 +202,25 @@ class MdccCoordinator(NetworkNode):
         tx = self._inflight.get(txid)
         if tx is None or tx.phase != "accept":
             return None
-        network = self.network
-        assert network is not None
-        records = []
-        for key, tracker in tx.trackers.items():
-            outstanding_ids = tracker.outstanding_ids(set(self.replica_ids))
-            outstanding_dcs = tuple(
-                network.node(replica_id).datacenter for replica_id in sorted(outstanding_ids)
-            )
-            records.append(
-                RecordProgress(
-                    key=key,
-                    accepts=tracker.accepts,
-                    rejects=tracker.rejects,
-                    quorum=tracker.quorum,
-                    n=tracker.n,
-                    outstanding_dcs=outstanding_dcs,
-                    proposed_at=tx.proposed_at[key],
-                )
-            )
-        deadline_at = None
-        if tx.request.deadline_ms is not None:
-            deadline_at = tx.request.submitted_at + tx.request.deadline_ms
         return ProgressSnapshot(
             txid=txid,
-            records=records,
+            records=list(tx.records.values()),
             submitted_at=tx.request.submitted_at,
-            deadline_at=deadline_at,
+            deadline_at=tx.deadline_at,
+        )
+
+    def _record_progress(
+        self, tx: _InflightTx, key: str, tracker: QuorumTracker
+    ) -> RecordProgress:
+        """A fresh view of one record's vote state, for ``tx.records``."""
+        return RecordProgress(
+            key=key,
+            accepts=tracker.accepts,
+            rejects=tracker.rejects,
+            quorum=tracker.quorum,
+            n=tracker.n,
+            outstanding_dcs=tracker.outstanding_values(self._sorted_replicas),
+            proposed_at=tx.proposed_at[key],
         )
 
     # ------------------------------------------------------------------
@@ -355,6 +363,7 @@ class MdccCoordinator(NetworkNode):
             )
         for key, option in tx.options.items():
             tx.proposed_at[key] = now
+            tx.records[key] = self._record_progress(tx, key, tx.trackers[key])
             for replica_id in self.replica_ids:
                 self.send(
                     replica_id,
@@ -371,6 +380,7 @@ class MdccCoordinator(NetworkNode):
         if tracker is None:
             return
         tracker.add_vote(msg.sender, msg.accepted)
+        tx.records[msg.key] = self._record_progress(tx, msg.key, tracker)
         if not msg.accepted:
             metrics = self.sim.metrics
             if metrics.enabled:

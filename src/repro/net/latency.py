@@ -65,6 +65,9 @@ class LatencyModel:
     ) -> None:
         if jitter_sigma < 0:
             raise ValueError("jitter_sigma must be >= 0")
+        if min_latency_ms < 0:
+            # The floor is what keeps every sampled delay non-negative.
+            raise ValueError("min_latency_ms must be >= 0")
         self.topology = topology
         self.jitter_sigma = jitter_sigma
         self.min_latency_ms = min_latency_ms

@@ -192,7 +192,10 @@ class Network:
                 now, "message", "send",
                 kind=message.kind, src=sender_id, dst=recipient_id, delay_ms=delay,
             )
-        sim.schedule(delay, self._deliver, recipient_id, message)
+        # ``LatencyModel`` floors every sample at a non-negative
+        # ``min_latency_ms``, so ``Simulator.schedule``'s negative-delay check
+        # has nothing to catch here; push the event directly.
+        sim._queue.push(now + delay, self._deliver, (recipient_id, message))
 
     def _flush_batch(self) -> None:
         """Deliver the current send burst with one vectorized jitter draw.

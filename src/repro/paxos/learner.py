@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple, TypeVar
+
+T = TypeVar("T")
 
 
 class QuorumTracker:
@@ -47,8 +49,15 @@ class QuorumTracker:
     def outstanding(self) -> int:
         return self.n - self.accepts - self.rejects
 
-    def outstanding_ids(self, all_ids: Set[str]) -> Set[str]:
-        return all_ids - self._accepted_by - self._rejected_by
+    def outstanding_values(self, pairs: Iterable[Tuple[str, T]]) -> Tuple[T, ...]:
+        """The values of ``(acceptor_id, value)`` pairs whose acceptor has
+        not voted yet, in the order given."""
+        accepted, rejected = self._accepted_by, self._rejected_by
+        return tuple([
+            value
+            for acceptor_id, value in pairs
+            if acceptor_id not in accepted and acceptor_id not in rejected
+        ])
 
     @property
     def chosen(self) -> bool:

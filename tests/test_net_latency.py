@@ -40,6 +40,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             LatencyModel(EC2_FIVE_DC, jitter_sigma=-0.1)
 
+    def test_negative_min_latency_rejected(self):
+        # The floor keeps every sampled delay non-negative; the network
+        # relies on it instead of re-checking each delay.
+        with pytest.raises(ValueError, match="min_latency_ms"):
+            LatencyModel(EC2_FIVE_DC, min_latency_ms=-0.1)
+        model = LatencyModel(EC2_FIVE_DC, jitter_sigma=0.0, min_latency_ms=0.0)
+        tokyo = EC2_FIVE_DC.datacenter("tokyo")
+        assert model.sample_ms(tokyo, tokyo, 0.0, Random(1)) == 0.5  # not floored
+
     def test_samples_vary_with_jitter(self, dcs):
         src, dst = dcs
         model = LatencyModel(EC2_FIVE_DC, jitter_sigma=0.3)

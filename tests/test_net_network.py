@@ -9,7 +9,7 @@ import pytest
 from repro.net.latency import LatencyModel
 from repro.net.messages import Message
 from repro.net.network import Network, NetworkNode
-from repro.net.partitions import PartitionWindow
+from repro.net.partitions import LossWindow, PartitionWindow
 from repro.net.topology import EC2_FIVE_DC
 from repro.sim.kernel import Simulator
 
@@ -87,6 +87,46 @@ class TestDelivery:
 
     def test_message_ids_unique(self):
         assert Ping().msg_id != Ping().msg_id
+
+
+class TestIdleFaultWindows:
+    """Fault windows that never apply leave every delivery unchanged."""
+
+    @staticmethod
+    def _deliveries(configure=None):
+        sim = Simulator(seed=4)
+        network = Network(sim, EC2_FIVE_DC, latency=LatencyModel(EC2_FIVE_DC, jitter_sigma=0.2))
+        if configure is not None:
+            configure(network)
+        nodes = [
+            network.register(Recorder(dc.name, dc)) for dc in EC2_FIVE_DC.datacenters
+        ]
+        log = []
+        for node in nodes:
+            node.receive = lambda message, log=log, sim=sim: log.append(
+                (sim.now, message.sender, message.recipient, message.sent_at)
+            )
+        for i in range(200):
+            sim.schedule(
+                i * 0.7, nodes[i % 5].send, nodes[(i * 3 + 1) % 5].node_id, Ping()
+            )
+        sim.run()
+        return log, sim.events_processed, network.messages_sent
+
+    def test_idle_fault_windows_leave_deliveries_identical(self):
+        plain = self._deliveries()
+        # The partition check and the loss windows draw nothing from the
+        # network rng, so idle windows change no latency.
+        far_partition = self._deliveries(
+            lambda network: network.partitions.add_window(
+                PartitionWindow(1e9, 2e9, dc_name="tokyo")
+            )
+        )
+        far_loss = self._deliveries(
+            lambda network: network.add_loss_window(LossWindow(1e9, 2e9, rate=0.5))
+        )
+        assert len(plain[0]) == 200
+        assert plain == far_partition == far_loss
 
 
 class TestLoss:

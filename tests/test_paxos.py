@@ -143,7 +143,8 @@ class TestQuorumTracker:
         tracker.add_vote("a", True)
         tracker.add_vote("b", False)
         assert tracker.outstanding() == 3
-        assert tracker.outstanding_ids({"a", "b", "c", "d", "e"}) == {"c", "d", "e"}
+        pairs = [(acceptor, acceptor.upper()) for acceptor in "edcba"]
+        assert tracker.outstanding_values(pairs) == ("E", "D", "C")
 
     def test_needed(self):
         tracker = QuorumTracker(5, 4)
