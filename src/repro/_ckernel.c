@@ -15,10 +15,12 @@
 #include <Python.h>
 #include <structmember.h>
 
-#define CKERNEL_ABI 1
+#define CKERNEL_ABI 2
 
 /* Interned / cached objects (module-lifetime). */
 static PyObject *str_enabled, *str__tracer, *str_pid, *str_inc, *str_max_gauge;
+/* Per-category tracer gates (repro.obs.events.Tracer.wants_*). */
+static PyObject *str_wants_sim, *str_wants_message;
 static PyObject *str_sim_events, *str_sim_queue_depth, *str_sim_now_ms;
 static PyObject *str__observe_dispatch, *str_getrandbits, *str_kwarg_pid;
 static PyObject *str_messages_sent, *str_sender, *str_recipient, *str_sent_at;
@@ -717,7 +719,7 @@ csim_step(CSim *self, PyObject *Py_UNUSED(ignored))
     m_on = attr_is_true(self->metrics, str_enabled);
     if (m_on < 0)
         goto error;
-    t_on = m_on ? 0 : attr_is_true(self->tracer, str_enabled);
+    t_on = m_on ? 0 : attr_is_true(self->tracer, str_wants_sim);
     if (t_on < 0)
         goto error;
     if (m_on || t_on) {
@@ -857,7 +859,7 @@ csim_run(CSim *self, PyObject *args, PyObject *kwds)
         err = 1;
         goto done;
     }
-    t_on = attr_is_true(tracer, str_enabled);
+    t_on = attr_is_true(tracer, str_wants_sim);
     if (t_on < 0) {
         err = 1;
         goto done;
@@ -998,7 +1000,7 @@ csim_run(CSim *self, PyObject *args, PyObject *kwds)
                 err = 1;
                 break;
             }
-            t_on = m_on ? 0 : attr_is_true(tracer, str_enabled);
+            t_on = m_on ? 0 : attr_is_true(tracer, str_wants_sim);
             if (t_on < 0) {
                 Py_DECREF(ev);
                 err = 1;
@@ -1601,7 +1603,7 @@ fail:
 }
 
 /* send(sender_id, recipient_id, message) — handles the fully-quiet path
- * (no metrics, no tracer, no partitions, no loss) entirely in C; any
+ * (no metrics, no message tracing, no partitions, no loss) entirely in C; any
  * instrumentation or fault injection delegates to the python
  * Network.send, which performs the identical observable operations. */
 static PyObject *
@@ -1623,7 +1625,8 @@ cnetsender_call(CNetSender *self, PyObject *args, PyObject *kwds)
     if (!PyArg_UnpackTuple(args, "send", 3, 3, &sid, &rid, &message))
         return NULL;
 
-    /* Fast-path eligibility: everything observable must be off. */
+    /* Fast-path eligibility: everything observable must be off (a tracer
+     * whose sinks want no "message" records observes nothing here). */
     quiet = 1;
     {
         int m_on = attr_is_true(sim->metrics, str_enabled);
@@ -1632,7 +1635,7 @@ cnetsender_call(CNetSender *self, PyObject *args, PyObject *kwds)
         if (m_on)
             quiet = 0;
         else {
-            int t_on = attr_is_true(sim->tracer, str_enabled);
+            int t_on = attr_is_true(sim->tracer, str_wants_message);
             if (t_on < 0)
                 return NULL;
             if (t_on)
@@ -1763,6 +1766,8 @@ PyInit__ckernel(void)
     PyObject *m;
 
     str_enabled = PyUnicode_InternFromString("enabled");
+    str_wants_sim = PyUnicode_InternFromString("wants_sim");
+    str_wants_message = PyUnicode_InternFromString("wants_message");
     str__tracer = PyUnicode_InternFromString("_tracer");
     str_pid = PyUnicode_InternFromString("pid");
     str_kwarg_pid = PyUnicode_InternFromString("pid");
@@ -1779,7 +1784,8 @@ PyInit__ckernel(void)
     str_sent_at = PyUnicode_InternFromString("sent_at");
     str_datacenter = PyUnicode_InternFromString("datacenter");
     str_loss_probability = PyUnicode_InternFromString("loss_probability");
-    if (str_enabled == NULL || str__tracer == NULL || str_pid == NULL ||
+    if (str_enabled == NULL || str_wants_sim == NULL ||
+        str_wants_message == NULL || str__tracer == NULL || str_pid == NULL ||
         str_kwarg_pid == NULL || str_inc == NULL || str_max_gauge == NULL ||
         str_sim_events == NULL || str_sim_queue_depth == NULL ||
         str_sim_now_ms == NULL || str__observe_dispatch == NULL ||

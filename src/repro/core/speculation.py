@@ -36,7 +36,7 @@ class SpeculationManager(TxEvents):
     # ------------------------------------------------------------------
     def note_stage(self, stage: TxStage, now: float) -> None:
         tracer = self.session.sim.tracer
-        if not tracer.enabled:
+        if not tracer.wants_stage:
             return
         tracer.end(self._stage_span, now)
         self._stage_span = (
@@ -93,10 +93,11 @@ class SpeculationManager(TxEvents):
             self.note_stage(TxStage.GUESSED, now)
             self.tx.predicted_at_guess = likelihood
             tracer = self.session.sim.tracer
-            if tracer.enabled:
+            if tracer.wants_stage:
                 tracer.emit(
                     now, "stage", "guess", txid=self.tx.txid, likelihood=likelihood
                 )
+            if tracer.enabled:
                 tracer.emit(
                     now, "history", "guess",
                     txid=self.tx.txid,

@@ -318,7 +318,7 @@ class MdccCoordinator(NetworkNode):
         if metrics.enabled:
             metrics.inc("mdcc.rounds", phase="prepare", path="classic")
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if tracer.wants_paxos:
             tx.round_span = tracer.begin(
                 self.sim.now, "paxos", "prepare_round",
                 track=tx.request.txid, coordinator=self.node_id, keys=len(tx.options),
@@ -354,7 +354,7 @@ class MdccCoordinator(NetworkNode):
                 "mdcc.rounds", phase="accept", path="fast" if fast else "classic"
             )
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if tracer.wants_paxos:
             tracer.end(tx.round_span, now)  # classic path: prepare round done
             tx.round_span = tracer.begin(
                 now, "paxos", "accept_round",
@@ -387,7 +387,7 @@ class MdccCoordinator(NetworkNode):
                 # A replica rejected the option: the record is contended.
                 metrics.inc("mdcc.option_conflicts")
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if tracer.wants_paxos:
             tracer.emit(
                 self.sim.now, "paxos", "vote",
                 txid=msg.txid, key=msg.key, replica=msg.sender, accepted=msg.accepted,

@@ -57,6 +57,9 @@ class MdccReplica:
         self.anti_entropy_interval_ms = anti_entropy_interval_ms
         self.peer_ids = list(peer_ids) if peer_ids is not None else []
         self._acceptors: Dict[str, OptionAcceptor] = {}
+        # txid -> {key: acceptor} for every option of txid this replica's
+        # acceptors currently hold, so recovery never scans all acceptors.
+        self._accepted_by_tx: Dict[str, Dict[str, OptionAcceptor]] = {}
         self._decided: "OrderedDict[str, bool]" = OrderedDict()
         # key -> {read_version: WriteOption} waiting for their predecessor.
         self._apply_buffer: Dict[str, Dict[int, WriteOption]] = {}
@@ -150,6 +153,7 @@ class MdccReplica:
         )
         if result.accepted:
             record.pending[msg.txid] = msg.option
+            self._accepted_by_tx.setdefault(msg.txid, {})[msg.key] = acceptor
             delay = self.node.wal.append("option", msg.txid, msg.option, self.node.sim.now)
             self.node.reply_after_sync(delay, msg.sender, vote)
             self._arm_orphan_timer(msg.txid, msg.key)
@@ -170,10 +174,14 @@ class MdccReplica:
         self.node.sim.schedule(delay, self._apply_decision, msg)
 
     def _apply_decision(self, msg: protocol.DecisionMessage) -> None:
+        accepted = self._accepted_by_tx.get(msg.txid, {})
         for option in msg.options:
             record = self.node.store.record(option.key)
             record.pending.pop(msg.txid, None)
             self.acceptor(option.key).clear(msg.txid)
+            accepted.pop(option.key, None)
+        if not accepted:
+            self._accepted_by_tx.pop(msg.txid, None)
         if not msg.commit:
             return
         for option in msg.options:
@@ -330,12 +338,13 @@ class MdccReplica:
         )
 
     def _own_accepted_options(self, txid: str):
-        options = []
-        for key, acceptor in self._acceptors.items():
-            accepted = acceptor.accepted.get(txid)
-            if accepted is not None:
-                options.append(accepted.option)
-        return options
+        """This replica's accepted options of ``txid``, in accept order.
+
+        Recovery's outcome does not depend on this order: each option is
+        keyed by its record wherever it is used.
+        """
+        accepted = self._accepted_by_tx.get(txid, {})
+        return [acceptor.accepted[txid].option for acceptor in accepted.values()]
 
     def _on_status_query(self, msg: protocol.TxStatusQuery) -> None:
         if msg.txid in self._decided:
@@ -393,11 +402,7 @@ class MdccReplica:
 
         # Round >= 2 complete, nobody knows a decision, everyone is blocked:
         # complete the transaction as a takeover coordinator.
-        accept_counts: Dict[str, int] = {}
         options_by_key: Dict[str, object] = {}
-        all_options = list(self._own_accepted_options(msg.txid))
-        for reply in replies.values():
-            all_options.extend(reply.accepted_options)
         # Each (replica, key) acceptance appears once per reply source;
         # count distinct sources per key.
         sources_by_key: Dict[str, set] = {}
@@ -467,17 +472,17 @@ class MdccReplica:
             peer = peers[self._ae_peer_index % len(peers)]
             self._ae_peer_index += 1
             digest = {
-                key: self.node.store.record(key).committed_version
-                for key in self.node.store.keys()
+                key: record.committed_version
+                for key, record in self.node.store.items()
             }
             self.node.send(peer, protocol.SyncDigest(versions=digest))
         self._schedule_ae_tick()
 
     def _on_sync_digest(self, msg: protocol.SyncDigest) -> None:
         updates = {}
-        for key in self.node.store.keys():
-            record = self.node.store.record(key)
-            theirs = msg.versions.get(key, 0)
+        their_version = msg.versions.get
+        for key, record in self.node.store.items():
+            theirs = their_version(key, 0)
             if record.committed_version <= theirs:
                 continue
             missing = [

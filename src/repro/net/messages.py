@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
-
-
-_message_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -16,8 +12,9 @@ class Message:
 
     Concrete protocol messages (Paxos, MDCC, 2PC) subclass this near the
     protocol code that handles them.  ``sender`` and ``recipient`` are node
-    ids assigned by :class:`~repro.net.network.Network`.  ``msg_id`` is unique
-    per simulation run for tracing.
+    ids assigned by :class:`~repro.net.network.Network`.  A message carries
+    nothing that depends on process history, so its repr, and with it the
+    byte counters, is the same in every run with the same seed.
 
     Hot-path notes: instances are ``__slots__``-backed (one small object per
     simulated message, no per-instance dict), ``kind`` is a class attribute
@@ -29,7 +26,6 @@ class Message:
     sender: str = field(default="", kw_only=True)
     recipient: str = field(default="", kw_only=True)
     sent_at: float = field(default=0.0, kw_only=True)
-    msg_id: int = field(default_factory=lambda: next(_message_ids), kw_only=True)
     _approx_size: Optional[int] = field(
         default=None, init=False, repr=False, compare=False
     )

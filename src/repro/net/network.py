@@ -90,7 +90,7 @@ class Network:
         # The compiled quiet-path sender: when the simulator kernel is
         # compiled and delivery is unbatched, bind the C fast path over
         # this instance's ``send``.  It handles only the fully-quiet case
-        # (no metrics/tracer/partitions/loss) and delegates everything
+        # (no metrics/message tracing/partitions/loss) and delegates everything
         # else back to the python method — observable behaviour is
         # byte-identical either way.
         self._csender = None
@@ -124,8 +124,9 @@ class Network:
     def send(self, sender_id: str, recipient_id: str, message: Message) -> None:
         """Send ``message``; it is delivered later (or dropped) by the kernel.
 
-        The fully-disabled path (no metrics, no tracer, no partitions, no
-        loss) allocates nothing beyond the delivery event itself.
+        The fully-disabled path (no metrics, no sink that wants
+        ``message`` records, no partitions, no loss) allocates nothing
+        beyond the delivery event itself.
         """
         sim = self.sim
         now = sim.now
@@ -146,7 +147,7 @@ class Network:
             self.messages_dropped += 1
             if metrics.enabled:
                 metrics.inc("net.messages_dropped", cause="partition")
-            if tracer.enabled:
+            if tracer.wants_message:
                 tracer.emit(
                     now, "message", "drop",
                     kind=message.kind, src=sender_id, dst=recipient_id, cause="partition",
@@ -166,7 +167,7 @@ class Network:
             self.messages_dropped += 1
             if metrics.enabled:
                 metrics.inc("net.messages_dropped", cause="loss")
-            if tracer.enabled:
+            if tracer.wants_message:
                 tracer.emit(
                     now, "message", "drop",
                     kind=message.kind, src=sender_id, dst=recipient_id, cause="loss",
@@ -187,7 +188,7 @@ class Network:
         delay = self.latency.sample_ms(
             sender.datacenter, recipient.datacenter, now, self._rng
         )
-        if tracer.enabled:
+        if tracer.wants_message:
             tracer.emit(
                 now, "message", "send",
                 kind=message.kind, src=sender_id, dst=recipient_id, delay_ms=delay,
@@ -217,7 +218,7 @@ class Network:
         latency = self.latency
         for i, (recipient_id, message, src_dc, dst_dc) in enumerate(burst):
             delay = latency.sample_with_normal(src_dc, dst_dc, now, draws[i])
-            if tracer.enabled:
+            if tracer.wants_message:
                 tracer.emit(
                     now, "message", "send",
                     kind=message.kind, src=message.sender, dst=recipient_id,
@@ -234,7 +235,7 @@ class Network:
             if metrics.enabled:
                 metrics.inc("net.messages_dropped", cause="gone")
             tracer = sim.tracer
-            if tracer.enabled:
+            if tracer.wants_message:
                 tracer.emit(
                     sim.now, "message", "drop",
                     kind=message.kind, src=message.sender, dst=recipient_id, cause="gone",
@@ -247,7 +248,7 @@ class Network:
             metrics.inc("net.messages_delivered", kind=kind)
             metrics.observe("net.flight_ms", sim.now - message.sent_at, kind=kind)
         tracer = sim.tracer
-        if tracer.enabled:
+        if tracer.wants_message:
             # One completed span per delivered message: its wide-area flight.
             tracer.span(
                 message.sent_at, sim.now, "message", message.kind,

@@ -6,11 +6,15 @@ Everything observable in a run flows through a per-simulator
 test probes) subscribe to a tracer; instrumented call sites in the kernel,
 network, engines, and storage emit through it.
 
-The design constraint is the **no-op fast path**: tracing is off by default
-and the instrumented hot paths (kernel dispatch, every message send) must
-pay only an attribute load and a branch.  Call sites therefore guard with
-``if tracer.enabled:`` before building any keyword arguments, and a
-disabled tracer's methods return immediately.
+The design constraint is the **no-op fast path**, and it holds per
+category: an instrumented hot path (kernel dispatch, every message send and
+delivery, WAL append, Paxos round and vote, stage span) whose category no
+attached sink wants pays only an attribute load and a branch, exactly as
+when tracing is off.  Hot call sites therefore guard with their category's
+gate, ``if tracer.wants_message:`` and so on (see :data:`GATED_CATEGORIES`),
+before building any keyword arguments; a history-only capture thus costs
+nothing on the message path.  Colder sites guard with ``if
+tracer.enabled:`` and rely on :meth:`Tracer.emit`'s own category filter.
 
 Global capture
 --------------
@@ -91,10 +95,18 @@ DEFAULT_CATEGORIES: FrozenSet[str] = frozenset(
 )
 
 
+#: Categories emitted from hot paths.  Each has a ``wants_<category>`` flag
+#: on :class:`Tracer`: true only while some attached sink wants it.
+GATED_CATEGORIES: Tuple[str, ...] = ("sim", "message", "paxos", "stage", "wal")
+
+
 class Tracer:
     """Per-simulator event/span emitter with a cheap disabled path."""
 
-    __slots__ = ("enabled", "pid", "categories", "_sinks", "_stacks")
+    __slots__ = (
+        "enabled", "pid", "categories", "_sinks", "_stacks",
+        "wants_sim", "wants_message", "wants_paxos", "wants_stage", "wants_wal",
+    )
 
     def __init__(self, pid: int = 0) -> None:
         self.enabled = False
@@ -102,6 +114,7 @@ class Tracer:
         self.categories: Optional[FrozenSet[str]] = None  # None = all
         self._sinks: List[Sink] = []
         self._stacks = SpanStacks()
+        self._refresh_gates()
 
     # -- wiring --------------------------------------------------------
     def add_sink(self, sink: Sink, categories: Optional[Iterable[str]] = None) -> Sink:
@@ -119,6 +132,7 @@ class Tracer:
                 combined |= self.categories
             self.categories = combined
         self.enabled = True
+        self._refresh_gates()
         return sink
 
     def remove_sink(self, sink: Sink) -> None:
@@ -127,10 +141,15 @@ class Tracer:
         if not self._sinks:
             self.enabled = False
             self.categories = None
+            self._refresh_gates()
 
     def _wants(self, category: str) -> bool:
         cats = self.categories
         return cats is None or category in cats
+
+    def _refresh_gates(self) -> None:
+        for category in GATED_CATEGORIES:
+            setattr(self, "wants_" + category, self.enabled and self._wants(category))
 
     # -- instants ------------------------------------------------------
     def emit(self, time_ms: float, category: str, name: str, **fields: Any) -> None:

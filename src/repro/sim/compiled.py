@@ -6,7 +6,8 @@
 registry, a fresh tracer, and the currently-installed metrics facade —
 so every component that duck-types against ``sim`` sees an identical
 surface.  The observed-dispatch hook stays in python (it only runs when
-instrumentation is on) and samples the same raw heap length the
+metrics are on or a sink wants ``sim`` records, the same test the
+interpreted loop makes) and samples the same raw heap length the
 interpreted loop does, keeping recorder digests byte-identical.
 
 Import of this module fails with ImportError when the extension was not
@@ -21,7 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import current as current_metrics
 from repro.sim.rng import RngRegistry
 
-_EXPECTED_ABI = 1
+_EXPECTED_ABI = 2
 if getattr(_ckernel, "ABI_VERSION", None) != _EXPECTED_ABI:  # pragma: no cover
     raise ImportError(
         f"repro._ckernel ABI {getattr(_ckernel, 'ABI_VERSION', None)!r} != "
@@ -49,7 +50,7 @@ class CompiledSimulator(_ckernel.SimulatorBase):
             # depth the batched loop samples.
             metrics.max_gauge("sim.queue_depth", float(self._queue.heap_len))
         tracer: Tracer = self.tracer
-        if tracer.enabled:
+        if tracer.wants_sim:
             fn = event.fn
             tracer.emit(
                 self.now, "sim", "dispatch",

@@ -86,7 +86,7 @@ class Simulator:
             return False
         self.now = event.time
         self._events_processed += 1
-        if self.metrics.enabled or self.tracer.enabled:
+        if self.metrics.enabled or self.tracer.wants_sim:
             self._observe_dispatch(event)
         event.fn(*event.args)
         return True
@@ -100,7 +100,7 @@ class Simulator:
             # depth the batched loop samples.
             metrics.max_gauge("sim.queue_depth", float(len(self._queue._heap)))
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer.wants_sim:
             fn = event.fn
             tracer.emit(
                 self.now, "sim", "dispatch",
@@ -134,7 +134,9 @@ class Simulator:
                 # Unbounded drain: the overwhelmingly common call.  The
                 # foreground count is exact (cancel releases it eagerly),
                 # so the loop condition alone is the drain check.
-                if not metrics.enabled and not tracer.enabled:
+                # A tracer whose sinks want no "sim" records (a history-only
+                # capture, say) observes nothing per dispatch.
+                if not metrics.enabled and not tracer.wants_sim:
                     while heap and queue._foreground and not self._stopped:
                         entry = heappop(heap)
                         event = entry[2]
@@ -147,7 +149,7 @@ class Simulator:
                         self.now = entry[0]
                         self._events_processed += 1
                         event.fn(*event.args)
-                elif metrics.enabled and not tracer.enabled and metrics._tracer is None:
+                elif metrics.enabled and not tracer.wants_sim and metrics._tracer is None:
                     # Metrics on, but nothing mirrors increments into a
                     # trace stream: the per-event counter and the queue
                     # high-water mark can be accumulated in locals and
@@ -212,7 +214,7 @@ class Simulator:
                         queue._foreground -= 1
                     self.now = next_time
                     self._events_processed += 1
-                    if metrics.enabled or tracer.enabled:
+                    if metrics.enabled or tracer.wants_sim:
                         self._observe_dispatch(event)
                     event.fn(*event.args)
                     fired += 1

@@ -41,15 +41,24 @@ class VersionedRecord:
     ``lock`` is used by the 2PC baseline.  Keeping both here rather than in
     side tables keeps replica handlers O(1) and mirrors how a real engine
     attaches latches/intents to records.
+
+    ``committed_version`` is a plain slot, the number of the newest version,
+    kept current by :meth:`install` and :meth:`reset_to`.  Anti-entropy
+    reads it for every stored key on every tick, so it is an attribute load
+    rather than a property indexing ``versions``.
     """
 
-    __slots__ = ("key", "versions", "pending", "lock_holder", "lock_queue", "max_versions")
+    __slots__ = (
+        "key", "versions", "committed_version", "pending", "lock_holder",
+        "lock_queue", "max_versions",
+    )
 
     def __init__(self, key: str, initial_value: Any = None, max_versions: int = 8) -> None:
         self.key = key
         self.versions: List[RecordVersion] = [
             RecordVersion(version=0, value=initial_value, txid="__init__", committed_at=0.0)
         ]
+        self.committed_version = 0
         self.pending: Dict[str, Any] = {}
         self.lock_holder: Optional[str] = None
         self.lock_queue: List[Any] = []
@@ -59,10 +68,6 @@ class VersionedRecord:
     @property
     def latest(self) -> RecordVersion:
         return self.versions[-1]
-
-    @property
-    def committed_version(self) -> int:
-        return self.versions[-1].version
 
     def version_at(self, version: int) -> Optional[RecordVersion]:
         """Look up a specific committed version (None if truncated or future)."""
@@ -75,11 +80,13 @@ class VersionedRecord:
 
     def install(self, value: Any, txid: str, now: float, relaxed: bool = False) -> RecordVersion:
         """Append a new committed version and truncate old ones."""
+        version = self.committed_version + 1
         new_version = RecordVersion(
-            version=self.committed_version + 1, value=value, txid=txid,
+            version=version, value=value, txid=txid,
             committed_at=now, relaxed=relaxed,
         )
         self.versions.append(new_version)
+        self.committed_version = version
         if len(self.versions) > self.max_versions:
             del self.versions[: len(self.versions) - self.max_versions]
         return new_version
@@ -93,7 +100,8 @@ class VersionedRecord:
         other transaction also claimed: the deterministic contest winner's
         value replaces the occupant's without minting a new version number.
         Returns the new :class:`RecordVersion`, or None when the slot has
-        been truncated away.
+        been truncated away.  The version number is kept, so
+        ``committed_version`` does not move.
         """
         for index in range(len(self.versions) - 1, -1, -1):
             if self.versions[index].version == version:
@@ -121,6 +129,7 @@ class VersionedRecord:
             )
         new_version = RecordVersion(version=version, value=value, txid=txid, committed_at=now)
         self.versions = [new_version]
+        self.committed_version = version
         return new_version
 
     def __repr__(self) -> str:

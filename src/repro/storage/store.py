@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.storage.record import RecordVersion, VersionedRecord
 
@@ -28,6 +28,10 @@ class KVStore:
 
     def keys(self) -> Iterator[str]:
         return iter(self._records)
+
+    def items(self) -> Iterator[Tuple[str, VersionedRecord]]:
+        """Every materialised ``(key, record)``, in creation order."""
+        return iter(self._records.items())
 
     def record(self, key: str) -> VersionedRecord:
         """Fetch (or lazily create) the record for ``key``."""

@@ -86,7 +86,7 @@ class WriteAheadLog:
         )
         self.entries.append(entry)
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer.wants_wal:
             # One span per append covering its durability window; batched
             # appends overlap on the same track, which is exactly how group
             # commit looks in a trace viewer.

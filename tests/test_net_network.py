@@ -6,11 +6,14 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro import obs
+from repro.experiments.common import microbench_run
 from repro.net.latency import LatencyModel
 from repro.net.messages import Message
 from repro.net.network import Network, NetworkNode
 from repro.net.partitions import LossWindow, PartitionWindow
 from repro.net.topology import EC2_FIVE_DC
+from repro.ops import reset_txid_counter
 from repro.sim.kernel import Simulator
 
 
@@ -85,8 +88,22 @@ class TestDelivery:
     def test_message_kind(self):
         assert Ping().kind == "Ping"
 
-    def test_message_ids_unique(self):
-        assert Ping().msg_id != Ping().msg_id
+
+class TestByteCounters:
+    """``net.bytes_sent`` is a function of the run, not of the process."""
+
+    def test_identical_runs_report_equal_bytes(self):
+        # Txids come from a process-wide counter that the sweep executor
+        # resets per point; reset it the same way here so only message
+        # contents can differ between the two runs.
+        totals = []
+        for _ in range(2):
+            reset_txid_counter()
+            with obs.collect_metrics() as metrics:
+                microbench_run(seed=3, duration_ms=3000, warmup_ms=300)
+            totals.append(metrics.counter_family("net.bytes_sent"))
+        assert totals[0] > 0
+        assert totals[0] == totals[1]
 
 
 class TestIdleFaultWindows:
